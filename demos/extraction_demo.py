@@ -41,5 +41,5 @@ print(f"image coverage gap: {dec.coverage_gap:.3g}")
 resid = ex.residual_map(u, [fb.bubble for fb in dec.bubbles])
 print("\nconcentration function of the final residual (nondecreasing):")
 for t in (0.1, 0.5, 2.0):
-    value = ex.concentration_function(resid, t, center_stride=64)
+    value = ex.concentration_function(resid, t)
     print(f"  C({t}) = {value:.4g}")

@@ -39,8 +39,6 @@ Bubble specs are either explicit parameter dicts (see
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -118,13 +116,14 @@ def write_report(out_dir, name, report):
 
 
 def write_csv(out_dir, name, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                         for v in row])
-    atomic_write_text(os.path.join(out_dir, name), buf.getvalue())
+    """Header plus rows of numbers, floats in repr form (exact round trip).
+
+    ``rows`` is a float array or a sequence of rows of Python ints and floats.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    atomic_write_text(os.path.join(out_dir, name), "\n".join(lines) + "\n")
 
 
 def load_config(path):
@@ -177,16 +176,14 @@ def cmd_predict(cfg, out_dir, fmt):
     l = int(cfg.get("l", 1))
     search = domg.find_critical_points(domain, n_seeds=n_seeds, tol=tol)
     checks = []
-    force_rows = []
     mesh = domg.project_to_boundary(
         domain, 0.5 * (domain.bounding_box[0] + domain.bounding_box[1])
         + 0.5 * np.max(domain.bounding_box[1] - domain.bounding_box[0])
         * domg.fibonacci_sphere(int(cfg.get("force_mesh", 200))))
     force = bal.reduced_force(domain, mesh, l)
     grad_h = domg.surface_grad_H(domain, mesh)
-    for p, f, g in zip(mesh, force, grad_h):
-        force_rows.append((p[0], p[1], p[2], f[0], f[1], f[2],
-                           float(np.linalg.norm(f)), float(np.linalg.norm(g))))
+    force_rows = np.column_stack([mesh, force, [np.linalg.norm(f) for f in force],
+                                  [np.linalg.norm(g) for g in grad_h]])
     if search.h_constant:
         report = {
             "schema": SCHEMA, "command": "predict", "config": cfg,
@@ -260,15 +257,11 @@ def cmd_extract(cfg, out_dir, fmt):
         write_report(out_dir, "report.json", report)
         print(f"[FAIL] {exc}")
         return 1
-    stat_field, stat_value, _, _ = ext.weighted_sup_field(disk_map, [])
-    grid = disk_map.grid
-    z = grid.nodes_complex()
-    rows = []
+    z = disk_map.grid.nodes_complex()
     stride = max(1, z.size // 65536)
-    flat_z, flat_s = z.ravel()[::stride], stat_field.ravel()[::stride]
-    for zz, ss in zip(flat_z, flat_s):
-        rows.append((zz.real, zz.imag, ss))
-    write_csv(out_dir, "statistic.csv", ["re_z", "im_z", "weighted_grad"], rows)
+    flat_z, flat_s = z.ravel()[::stride], dec.initial_statistic.ravel()[::stride]
+    write_csv(out_dir, "statistic.csv", ["re_z", "im_z", "weighted_grad"],
+              np.column_stack([flat_z.real, flat_z.imag, flat_s]))
     bad = any(flag in ("fit_diverged",) for flag in dec.flags)
     report = {
         "schema": SCHEMA, "command": "extract", "config": cfg,
@@ -325,7 +318,7 @@ def cmd_balance(cfg, out_dir, fmt):
         * domg.fibonacci_sphere(int(cfg.get("force_mesh", 200))))
     force = bal.reduced_force(domain, mesh, l)
     write_csv(out_dir, "reduced_force.csv", ["x", "y", "z", "force_norm"],
-              [(p[0], p[1], p[2], float(np.linalg.norm(f))) for p, f in zip(mesh, force)])
+              np.column_stack([mesh, [np.linalg.norm(f) for f in force]]))
     report = {
         "schema": SCHEMA, "command": "balance", "config": cfg,
         "cap_residuals": residuals,
@@ -363,7 +356,7 @@ def cmd_wente(cfg, out_dir, fmt):
         v3 = wnt.random_band_limited(grid, 3 * seed + 2, components=3, zero_boundary=True)
         tri = wnt.trilinear_check(u3, v3)
         c_running = max(c_running, tri.c_estimate)
-        rows.append((seed, res.ratio_inf, res.ratio_grad, tri.c_estimate))
+        rows.append((seed, float(res.ratio_inf), float(res.ratio_grad), float(tri.c_estimate)))
     write_csv(out_dir, "sweep.csv", ["seed", "ratio_inf", "ratio_grad", "c_estimate"], rows)
     arr = np.array([(r[1], r[2]) for r in rows])
     checks = [

@@ -101,9 +101,10 @@ def _mode_matrices(grid):
 
     Returns (ab_base, fold_coeffs, l_and_u) where ``fold_coeffs`` carries the
     across-origin ghost weight of row 0 that enters with the mode sign
-    (-1)^m, and the Dirichlet ring column is eliminated.
+    (-1)^m, and the Dirichlet ring column is eliminated.  Cached by grid
+    size, so equal-sized grids share one entry.
     """
-    key = id(grid)
+    key = (grid.n_r, grid.n_theta)
     if key in _SOLVER_CACHE:
         return _SOLVER_CACHE[key]
     n = grid.n_r

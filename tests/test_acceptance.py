@@ -7,6 +7,7 @@ budget.
 
 import filecmp
 import json
+import math
 import os
 import time
 
@@ -121,8 +122,8 @@ def test_criterion_4_wente_bounds():
     res = wn.wente_check(wn.ScalarField(z.real, grid), wn.ScalarField(z.imag, grid))
     crit.check("analytic ratio_inf = 0.5000 within 1%",
                abs(res.ratio_inf / 0.5 - 1.0) <= 0.01)
-    crit.check("analytic ratio_grad = 0.8162 within 1%",
-               abs(res.ratio_grad / 0.8162 - 1.0) <= 0.01)
+    crit.check("analytic ratio_grad = sqrt(2/3) within 5e-4",
+               abs(res.ratio_grad - math.sqrt(2.0 / 3.0)) <= 5e-4)
     rows = wn.wente_sweep(n_instances=100, n_r=256, n_theta=256, seed0=0)
     crit.check("all ratio_inf <= 1.02", float(rows[:, 1].max()) <= 1.02)
     crit.check("all ratio_grad <= 1.02", float(rows[:, 2].max()) <= 1.02)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmclab import bubbles as bub
 from cmclab import disk_maps as dm
@@ -159,6 +163,66 @@ def test_concentration_function_limits():
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
+def _dense_concentration(resid, t, center_stride=None):
+    """Reference C(t): a dense centers x nodes mask, one block of centers at a time."""
+    grid = resid.grid
+    u_x, u_y = dm.gradient(resid)
+    dens = np.sum(u_x**2 + u_y**2, axis=-1) * np.asarray(grid.area_weights)
+    flat_z = grid.nodes_complex().ravel()
+    flat_e = dens.ravel()
+    if center_stride is None:
+        center_stride = max(1, int(math.ceil(flat_z.size / 16384)))
+    centers = flat_z[::center_stride]
+    best = 0.0
+    for i in range(0, len(centers), 512):
+        inside = np.abs(centers[i : i + 512, None] - flat_z[None, :]) < t
+        best = max(best, float((inside @ flat_e).max()))
+    return best
+
+
+def _random_map(n_r, n_theta, seed):
+    values = np.random.default_rng(seed).standard_normal((n_r + 1, n_theta, 3))
+    return dm.DiskMap(values=values)
+
+
+# (n_r, n_theta): square grids, a ring-heavy grid whose centers span two
+# blocks, and a coarse-radius grid with long rings
+@pytest.mark.parametrize("shape", [(16, 16), (32, 32), (48, 48), (128, 16), (8, 64)])
+def test_concentration_function_matches_dense(shape):
+    n_r, n_theta = shape
+    u = _random_map(n_r, n_theta, seed=n_r * n_theta)
+    z = u.grid.nodes_complex()
+    rng = np.random.default_rng(n_r + n_theta)
+    flat = z.ravel()
+    i, j = rng.integers(0, flat.size, (2, 4))
+    rings = rng.integers(0, n_r + 1, (2, 2))
+    ties = np.concatenate([
+        np.abs(flat[i] - flat[j]),                             # node-to-node distances
+        np.abs(z[rings[0], 0] - z[rings[1], n_theta // 2]),    # through the far point
+    ])
+    radii = [-0.5, 0.0, 2.0, 2.5, *rng.uniform(0.0, 2.0, 3), *ties]
+    for t in radii:
+        # the default stride is 1 on grids this small
+        assert ex.concentration_function(u, t) == ex.concentration_function(u, t, 1)
+        for stride in (1, 3):
+            expect = _dense_concentration(u, t, stride)
+            got = ex.concentration_function(u, t, stride)
+            assert got == pytest.approx(expect, rel=1e-12, abs=0.0), (stride, t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 24, 32]),
+       radii=st.lists(st.floats(0.0, 2.5), min_size=2, max_size=5))
+def test_concentration_function_monotone_and_bounded(seed, n, radii):
+    u = _random_map(n, n, seed)
+    total = ex.concentration_function(u, 2.0)
+    assert total == pytest.approx(dm.dirichlet_energy(u), rel=1e-12)
+    values = [ex.concentration_function(u, t) for t in sorted(radii)]
+    slack = 1e-12 * total  # arcs of nested balls are summed in different orders
+    assert all(a <= b + slack for a, b in zip(values, values[1:]))
+    assert max(values) <= total + slack
+
+
 # -- extract loop -----------------------------------------------------------------------------
 
 def test_extract_planted_pair():
@@ -173,6 +237,7 @@ def test_extract_planted_pair():
         target = 8 * np.pi if fb.kind == "plane" else 4 * np.pi
         assert abs(fb.family_energy / target - 1.0) < 0.05
     assert dec.pairwise_separation[0, 1] >= 20.0
+    assert np.array_equal(dec.initial_statistic, ex.weighted_sup_field(u, [])[0])
 
 
 def test_extract_constant_map_empty():

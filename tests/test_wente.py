@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmclab import wente as wn
-from cmclab.polar_grid import get_grid
+from cmclab.polar_grid import PolarGrid, get_grid
 
 from conftest import fitted_slope
 
@@ -44,6 +44,20 @@ def test_poisson_radial_solution():
     exact = (1 - np.abs(z) ** 2) / 4
     assert np.abs(u.values - exact).max() < 1e-12
     assert abs(np.abs(u.values).max() - 0.25) < 1e-4
+
+
+def test_poisson_cache_keyed_by_grid_size(monkeypatch):
+    # short-lived grids free their ids for reuse: a cache keyed by object
+    # identity hands a new grid the matrices of a dead one of another size
+    monkeypatch.setattr(wn, "_SOLVER_CACHE", {})
+    sizes = (16, 24, 32)
+    for i in range(200):
+        grid = PolarGrid(sizes[i % 3], 32)
+        z = grid.nodes_complex()
+        u = wn.poisson_solve_disk(wn.ScalarField(np.ones(z.shape), grid))
+        assert np.abs(u.values - (1 - np.abs(z) ** 2) / 4).max() < 1e-12
+        del grid, z, u
+    assert len(wn._SOLVER_CACHE) <= 3
 
 
 def test_poisson_zero_rhs():

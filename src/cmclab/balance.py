@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk_maps import BoundaryTrace, DiskMap
+from .disk_maps import DiskMap
 from .errors import BoundaryMismatch
-from .implicit_domains import (NormalJet, boundary_normal, normal_jet,
-                               project_to_boundary, surface_grad_H, tangent_basis,
-                               tangent_field_zeros)
+from .implicit_domains import (boundary_normal, boundary_seeds, mean_curvature,
+                               normal_differential, normal_jet, project_to_boundary,
+                               surface_grad_H, tangent_basis, tangent_field_zeros,
+                               tangent_stencil)
 from .polar_grid import get_grid
 
 
@@ -292,32 +293,18 @@ def _trace_d2_normal(domain, pts, step=None):
     """Tangential trace sum_i d2N(t_i, t_i) at boundary points (vectorized)."""
     pts = np.atleast_2d(np.asarray(pts, float))
     h = domain.fd_step() if step is None else float(step)
-    g = domain.grad_phi(pts)
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
-    n = g / norm
+    n = boundary_normal(domain, pts)
     basis = tangent_basis(n)
-
-    def dn_matrix(points):
-        gg = domain.grad_phi(points)
-        nn = gg / np.linalg.norm(gg, axis=-1, keepdims=True)
-        M = domain.hess_phi(points) / np.linalg.norm(gg, axis=-1)[..., None, None]
-        return M - nn[..., :, None] * np.einsum("...i,...ij->...j", nn, M)[..., None, :]
-
-    M0 = dn_matrix(pts)
-    steps = np.concatenate([pts + h * basis[:, 0], pts - h * basis[:, 0],
-                            pts + h * basis[:, 1], pts - h * basis[:, 1]])
-    feet = project_to_boundary(domain, steps)
-    Ms = dn_matrix(feet)
-    k = len(pts)
-    trace_raw = np.zeros((k, 3))
+    M0 = normal_differential(domain, pts)
+    Ms = normal_differential(domain, tangent_stencil(domain, pts, basis, h))
+    Ms = Ms.reshape(2, 2, len(pts), 3, 3)
+    trace_raw = np.zeros((len(pts), 3))
     for i in range(2):
-        dM = (Ms[2 * i * k : (2 * i + 1) * k] - Ms[(2 * i + 1) * k : (2 * i + 2) * k]) / (2 * h)
+        dM = (Ms[i, 0] - Ms[i, 1]) / (2 * h)
         trace_raw += np.einsum("pij,pj->pi", dM, basis[:, i])
     # chart curvature correction: subtract (S_11 + S_22) * dN(N) = 2 H dN(N)
-    Ht = np.einsum("pij,paj->pai", domain.hess_phi(pts), basis) / norm[..., None]
-    S = np.einsum("pai,pbi->pab", basis, Ht)
     MN = np.einsum("pij,pj->pi", M0, n)
-    trace = 0.5 * (trace_raw - (S[:, 0, 0] + S[:, 1, 1])[:, None] * MN)
+    trace = 0.5 * (trace_raw - 2.0 * mean_curvature(domain, pts)[:, None] * MN)
     return trace, n
 
 
@@ -338,14 +325,8 @@ def reduced_force(domain, q, l=1):
 
 def reduced_force_zeros(domain, l=1, n_seeds=48, tol=1e-6):
     """Zero set of the reduced force by seeded Newton on the boundary."""
-    from .implicit_domains import fibonacci_sphere
-
-    box = np.asarray(domain.bounding_box, float)
-    center = 0.5 * (box[0] + box[1])
-    radius = 0.5 * np.max(box[1] - box[0])
-    seeds = project_to_boundary(domain, center + radius * fibonacci_sphere(n_seeds))
     return tangent_field_zeros(domain, lambda pts: reduced_force(domain, pts, l),
-                               seeds, tol)
+                               boundary_seeds(domain, n_seeds), tol)
 
 
 def balance_report(domain, q, l=1, cap_cfg=None, cap_height=0.0, n_r=64, n_theta=128):

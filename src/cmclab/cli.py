@@ -176,14 +176,13 @@ def cmd_predict(cfg, out_dir, fmt):
     l = int(cfg.get("l", 1))
     search = domg.find_critical_points(domain, n_seeds=n_seeds, tol=tol)
     checks = []
-    mesh = domg.project_to_boundary(
-        domain, 0.5 * (domain.bounding_box[0] + domain.bounding_box[1])
-        + 0.5 * np.max(domain.bounding_box[1] - domain.bounding_box[0])
-        * domg.fibonacci_sphere(int(cfg.get("force_mesh", 200))))
+    mesh = domg.boundary_seeds(domain, int(cfg.get("force_mesh", 200)))
     force = bal.reduced_force(domain, mesh, l)
     grad_h = domg.surface_grad_H(domain, mesh)
-    force_rows = np.column_stack([mesh, force, [np.linalg.norm(f) for f in force],
-                                  [np.linalg.norm(g) for g in grad_h]])
+    write_csv(out_dir, "force_field.csv",
+              ["x", "y", "z", "fx", "fy", "fz", "force_norm", "grad_h_norm"],
+              np.column_stack([mesh, force, [np.linalg.norm(f) for f in force],
+                               [np.linalg.norm(g) for g in grad_h]]))
     if search.h_constant:
         report = {
             "schema": SCHEMA, "command": "predict", "config": cfg,
@@ -192,8 +191,6 @@ def cmd_predict(cfg, out_dir, fmt):
             "checks": [], "pass": True,
         }
         write_report(out_dir, "report.json", report)
-        write_csv(out_dir, "force_field.csv",
-                  ["x", "y", "z", "fx", "fy", "fz", "force_norm", "grad_h_norm"], force_rows)
         print("[PASS] boundary mean curvature is constant; every point is critical")
         return 0
     zeros = bal.reduced_force_zeros(domain, l=l, n_seeds=n_seeds, tol=tol)
@@ -215,8 +212,6 @@ def cmd_predict(cfg, out_dir, fmt):
         "checks": checks, "pass": all(c["pass"] for c in checks),
     }
     write_report(out_dir, "report.json", report)
-    write_csv(out_dir, "force_field.csv",
-              ["x", "y", "z", "fx", "fy", "fz", "force_norm", "grad_h_norm"], force_rows)
     return 0 if _checks_report(checks) else 1
 
 
@@ -312,10 +307,7 @@ def cmd_balance(cfg, out_dir, fmt):
     else:
         base_point = search.points[0].point
     rep = bal.balance_report(domain, base_point, l=l)
-    mesh = domg.project_to_boundary(
-        domain, 0.5 * (domain.bounding_box[0] + domain.bounding_box[1])
-        + 0.5 * np.max(domain.bounding_box[1] - domain.bounding_box[0])
-        * domg.fibonacci_sphere(int(cfg.get("force_mesh", 200))))
+    mesh = domg.boundary_seeds(domain, int(cfg.get("force_mesh", 200)))
     force = bal.reduced_force(domain, mesh, l)
     write_csv(out_dir, "reduced_force.csv", ["x", "y", "z", "force_norm"],
               np.column_stack([mesh, [np.linalg.norm(f) for f in force]]))

@@ -6,7 +6,16 @@ class CmcLabError(Exception):
 
 
 class NonConvergence(CmcLabError):
-    """An iterative solve (Newton projection, critical-point search) failed."""
+    """An iterative solve (Newton projection, critical-point search) failed.
+
+    Solver state at exit, None where unknown: ``iterations``, the number of
+    ``unconverged`` rows, and their worst ``distance`` and ``line_residual``."""
+
+    def __init__(self, message, iterations=None, unconverged=None, distance=None,
+                 line_residual=None):
+        super().__init__(message)
+        self.iterations, self.unconverged = iterations, unconverged
+        self.distance, self.line_residual = distance, line_residual
 
 
 class DegenerateGradient(CmcLabError):

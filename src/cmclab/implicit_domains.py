@@ -9,7 +9,7 @@ Orientation: the unit sphere with exterior normal has H = +1 (H is half the
 trace of dN restricted to the tangent plane).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateGradient, NonConvergence
 
 _PHI_TOL = 1e-13       # relative distance tolerance for boundary projection
-_ANGLE_TOL = 1e-8      # parallelism tolerance of (q - p) vs grad_phi(q)
 
 
 @dataclass(frozen=True)
@@ -200,13 +199,16 @@ def project_to_boundary(domain, p, max_iter=50):
 
     Solves phi(q) = 0, q - p = t * grad_phi(q); the returned foot point
     satisfies |phi(q)| ~ 1e-13 * scale with q - p parallel to grad_phi(q).
-    Raises NonConvergence after ``max_iter`` Newton steps.
+    Each row stops once its own residuals pass, so row i of a batch is
+    bit-equal to projecting p[i] alone.  Raises NonConvergence, with the
+    solver state at exit, if rows still fail after ``max_iter`` Newton steps
+    or hit a singular step.
     """
     p = np.asarray(p, float)
     single = p.ndim == 1
     q = np.atleast_2d(p).copy()
     p2 = np.atleast_2d(p)
-    scale = domain.diagonal
+    tol = _PHI_TOL * domain.diagonal
     # warm start: a few first-order steps along the instantaneous gradient
     for _ in range(8):
         g = domain.grad_phi(q)
@@ -216,29 +218,39 @@ def project_to_boundary(domain, p, max_iter=50):
         q = q - domain.phi(q)[..., None] * g / gg
     g = domain.grad_phi(q)
     t = np.sum((q - p2) * g, axis=-1) / np.sum(g * g, axis=-1)
-    for it in range(max_iter):
-        g = domain.grad_phi(q)
-        H = domain.hess_phi(q)
-        f_top = domain.phi(q)
-        f_low = q - p2 - t[:, None] * g
-        dist_ok = np.abs(f_top) / np.linalg.norm(g, axis=-1) < _PHI_TOL * scale
-        line_ok = np.linalg.norm(f_low, axis=-1) < _PHI_TOL * scale
-        if np.all(dist_ok & line_ok):
+    live = np.arange(len(q))  # rows still taking Newton steps
+
+    def failure(reason, it, dist, line):
+        d, r = float(np.max(dist)), float(np.max(line))
+        return NonConvergence(f"boundary projection {reason} after {it} Newton steps: "
+                              f"{len(dist)} of {len(q)} rows unconverged, worst distance "
+                              f"{d:.3g}, worst line residual {r:.3g} (tolerance {tol:.3g})",
+                              iterations=it, unconverged=len(dist), distance=d, line_residual=r)
+
+    for it in range(max_iter + 1):
+        g = domain.grad_phi(q[live])
+        f_top = domain.phi(q[live])
+        f_low = q[live] - p2[live] - t[live, None] * g
+        dist = np.abs(f_top) / np.linalg.norm(g, axis=-1)
+        line = np.linalg.norm(f_low, axis=-1)
+        keep = ~((dist < tol) & (line < tol))
+        if not keep.any():
             break
-        n = q.shape[0]
-        J = np.zeros((n, 4, 4))
+        if it == max_iter:
+            raise failure("did not converge", it, dist[keep], line[keep])
+        live, g, f_top, f_low = live[keep], g[keep], f_top[keep], f_low[keep]
+        H = domain.hess_phi(q[live])
+        J = np.zeros((len(live), 4, 4))
         J[:, 0, :3] = g
-        J[:, 1:, :3] = np.eye(3)[None] - t[:, None, None] * H
+        J[:, 1:, :3] = np.eye(3)[None] - t[live, None, None] * H
         J[:, 1:, 3] = -g
         F = np.concatenate([f_top[:, None], f_low], axis=1)
         try:
             step = np.linalg.solve(J, F[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"singular projection system: {exc}") from exc
-        q = q - step[:, :3]
-        t = t - step[:, 3]
-    else:
-        raise NonConvergence(f"boundary projection did not converge in {max_iter} steps")
+            raise failure("hit a singular system", it, dist[keep], line[keep]) from exc
+        q[live] -= step[:, :3]
+        t[live] -= step[:, 3]
     return q[0] if single else q
 
 
@@ -287,15 +299,27 @@ def surface_grad_H(domain, q, step=None):
     single = q.ndim == 1
     q2 = np.atleast_2d(q)
     h = domain.fd_step() if step is None else float(step)
-    n = boundary_normal(domain, q2)
-    basis = tangent_basis(n)
-    grad = np.zeros_like(q2)
-    for i in range(2):
-        qp = project_to_boundary(domain, q2 + h * basis[:, i])
-        qm = project_to_boundary(domain, q2 - h * basis[:, i])
-        dH = (mean_curvature(domain, qp) - mean_curvature(domain, qm)) / (2 * h)
-        grad = grad + dH[:, None] * basis[:, i]
+    basis = tangent_basis(boundary_normal(domain, q2))
+    H = mean_curvature(domain, tangent_stencil(domain, q2, basis, h)).reshape(2, 2, -1)
+    dH = (H[:, 0] - H[:, 1]) / (2 * h)
+    grad = dH[0][:, None] * basis[:, 0] + dH[1][:, None] * basis[:, 1]
     return grad[0] if single else grad
+
+
+def tangent_stencil(domain, q, basis, h):
+    """Feet of q + h t_0, q - h t_0, q + h t_1, q - h t_1 (blocks in that order,
+    shape (4k, 3)) for boundary points q (k, 3), from one projection."""
+    steps = [q + h * basis[:, 0], q - h * basis[:, 0], q + h * basis[:, 1], q - h * basis[:, 1]]
+    return project_to_boundary(domain, np.concatenate(steps))
+
+
+def normal_differential(domain, points):
+    """Ambient matrix (I - N N^T) Hess phi / |grad phi| of dN at each point."""
+    g = domain.grad_phi(points)
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    n = g / norm
+    M = domain.hess_phi(points) / norm[..., None]
+    return M - n[..., :, None] * np.einsum("...i,...ij->...j", n, M)[..., None, :]
 
 
 def normal_jet(domain, q, step=None):
@@ -311,26 +335,13 @@ def normal_jet(domain, q, step=None):
     h = domain.fd_step() if step is None else float(step)
     n = boundary_normal(domain, q)
     basis = tangent_basis(n)
-
-    def dn_matrix(points):
-        # ambient map (I - N N^T) Hess / |grad| at each point
-        g = domain.grad_phi(points)
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        nn = g / norm
-        H = domain.hess_phi(points)
-        M = H / norm[..., None]
-        return M - nn[..., :, None] * np.einsum("...i,...ij->...j", nn, M)[..., None, :]
-
-    M0 = dn_matrix(q[None])[0]
+    M0 = normal_differential(domain, q[None])[0]
     d_normal = np.stack([M0 @ basis[0], M0 @ basis[1]], axis=-1)
-
-    steps = np.concatenate([q[None] + h * basis, q[None] - h * basis])
-    feet = project_to_boundary(domain, steps)
-    Ms = dn_matrix(feet)
+    Ms = normal_differential(domain, tangent_stencil(domain, q[None], basis[None], h))
     # raw[:, i, j] ~ directional derivative along t_j of dN applied to t_i
     raw = np.zeros((3, 2, 2))
     for j in range(2):
-        dM = (Ms[j] - Ms[2 + j]) / (2 * h)
+        dM = (Ms[2 * j] - Ms[2 * j + 1]) / (2 * h)
         for i in range(2):
             raw[:, i, j] = dM @ basis[i]
     raw = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
@@ -372,88 +383,94 @@ def fibonacci_sphere(n):
                      np.cos(phi)], axis=-1)
 
 
+def boundary_seeds(domain, n):
+    """Seed mesh on the boundary: ``n`` Fibonacci-sphere points scaled to the
+    bounding box (its centre, half its longest side), projected once."""
+    box = np.asarray(domain.bounding_box, float)
+    center = 0.5 * (box[0] + box[1])
+    radius = 0.5 * np.max(box[1] - box[0])
+    return project_to_boundary(domain, center + radius * fibonacci_sphere(n))
+
+
 def tangent_field_zeros(domain, field_fn, seeds, tol, step=None, max_iter=60):
     """Newton search for zeros of a tangent vector field on the boundary.
 
-    ``field_fn(points) -> (..., 3)`` must return tangent vectors.  Returns
-    deduplicated converged points (dedup radius 1e-3 * diagonal).
+    ``seeds`` are (k, 3) boundary points.  ``field_fn`` maps a (m, 3) batch of
+    boundary points to (m, 3) tangent vectors row by row, each row independent
+    of the others, so all live seeds share each call.  Seeds with a singular
+    Jacobian or that use up ``max_iter`` steps are dropped.  Returns the zeros
+    in seed order, deduplicated (radius 1e-3 * diagonal, first one kept).
     """
     h = domain.fd_step() if step is None else float(step)
+    cap = 0.05 * domain.diagonal
+    q = np.array(seeds, float).reshape(-1, 3)
+    kept = np.zeros(len(q), bool)  # left the loop with |f| < tol
+    live = np.arange(len(q))
+    for _ in range(max_iter):
+        f0 = field_fn(q[live])
+        done = np.linalg.norm(f0, axis=-1) < tol
+        kept[live[done]] = True
+        live, f0 = live[~done], f0[~done]
+        if live.size == 0:
+            break
+        basis = tangent_basis(boundary_normal(domain, q[live]))
+        g0 = np.einsum("pai,pi->pa", basis, f0)
+        J = _tangent_jacobian(domain, field_fn, q[live], basis, h)
+        solved = np.ones(len(live), bool)
+        try:
+            dv = np.linalg.solve(J, -g0[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # row by row, so a singular seed leaves without stopping the others
+            dv = np.zeros_like(g0)
+            for i in range(len(live)):
+                try:
+                    dv[i] = np.linalg.solve(J[i], -g0[i])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+        # a singular seed leaves with |f| >= tol, so it is not kept
+        live, basis, dv = live[solved], basis[solved], dv[solved]
+        norm_dv = np.linalg.norm(dv, axis=-1)
+        dv *= (cap / np.maximum(norm_dv, cap))[:, None]
+        q[live] = project_to_boundary(
+            domain, q[live] + dv[:, 0:1] * basis[:, 0] + dv[:, 1:2] * basis[:, 1])
     dedup = 1e-3 * domain.diagonal
     found = []
-    for seed in np.atleast_2d(seeds):
-        q = project_to_boundary(domain, seed)
-        for _ in range(max_iter):
-            n = boundary_normal(domain, q)
-            basis = tangent_basis(n)
-            f0 = field_fn(q[None])[0]
-            g0 = basis @ f0
-            if np.linalg.norm(f0) < tol:
-                break
-            # 2x2 Jacobian of tangent components by central differences
-            J = np.zeros((2, 2))
-            for j in range(2):
-                fp = field_fn(project_to_boundary(domain, q + h * basis[j])[None])[0]
-                fm = field_fn(project_to_boundary(domain, q - h * basis[j])[None])[0]
-                J[:, j] = basis @ (fp - fm) / (2 * h)
-            try:
-                dv = np.linalg.solve(J, -g0)
-            except np.linalg.LinAlgError:
-                break
-            norm_dv = np.linalg.norm(dv)
-            cap = 0.05 * domain.diagonal
-            if norm_dv > cap:
-                dv *= cap / norm_dv
-            q = project_to_boundary(domain, q + dv[0] * basis[0] + dv[1] * basis[1])
-        else:
-            continue
-        if np.linalg.norm(field_fn(q[None])[0]) >= tol:
-            continue
-        if not any(np.linalg.norm(q - prev) < dedup for prev in found):
-            found.append(q)
+    for i in np.flatnonzero(kept):
+        if not any(np.linalg.norm(q[i] - prev) < dedup for prev in found):
+            found.append(q[i])
     return found
+
+
+def _tangent_jacobian(domain, field_fn, q, basis, h):
+    """2x2 Jacobians J[p, a, j] = d<t_a, f>/dt_j of a tangent field at points q,
+    by central differences over one ``tangent_stencil`` and one ``field_fn`` call."""
+    f = field_fn(tangent_stencil(domain, q, basis, h)).reshape(2, 2, len(q), 3)
+    return np.einsum("pai,jpi->paj", basis, f[:, 0] - f[:, 1]) / (2 * h)
 
 
 def find_critical_points(domain, n_seeds=64, tol=1e-6):
     """Critical points of the boundary mean curvature from seeded Newton runs.
 
-    Seeds are a Fibonacci-sphere sample projected to the boundary.  When H is
-    constant over the seeds the search is degenerate and reports h_constant.
+    Seeds come from ``boundary_seeds``.  When H is constant over the seeds
+    the search is degenerate and reports h_constant.
     """
     if n_seeds < 8:
         raise ValueError("n_seeds must be >= 8")
-    box = np.asarray(domain.bounding_box, float)
-    center = 0.5 * (box[0] + box[1])
-    radius = 0.5 * np.max(box[1] - box[0])
-    seeds = project_to_boundary(domain, center + radius * fibonacci_sphere(n_seeds))
+    seeds = boundary_seeds(domain, n_seeds)
     h_seeds = mean_curvature(domain, seeds)
-    h_span = float(np.max(h_seeds) - np.min(h_seeds))
-    if h_span < 1e-9 * (1.0 + np.abs(h_seeds).max()):
+    if np.ptp(h_seeds) < 1e-9 * (1.0 + np.abs(h_seeds).max()):
         return CriticalPointSearch(points=[], h_constant=True, h_value=float(np.mean(h_seeds)))
 
     grad_fn = lambda pts: surface_grad_H(domain, pts)
     zeros = tangent_field_zeros(domain, grad_fn, seeds, tol)
-    h_fd = domain.fd_step()
-    points = []
-    for q in zeros:
-        n = boundary_normal(domain, q)
-        basis = tangent_basis(n)
-        hess = np.zeros((2, 2))
-        for j in range(2):
-            gp = surface_grad_H(domain, project_to_boundary(domain, q + h_fd * basis[j]))
-            gm = surface_grad_H(domain, project_to_boundary(domain, q - h_fd * basis[j]))
-            hess[:, j] = basis @ (gp - gm) / (2 * h_fd)
-        hess = 0.5 * (hess + hess.T)
-        eigs = np.linalg.eigvalsh(hess)
-        floor = 1e-6 * max(1.0, np.abs(eigs).max())
-        if np.all(eigs > floor):
-            label = "min"
-        elif np.all(eigs < -floor):
-            label = "max"
-        elif eigs[0] < -floor and eigs[1] > floor:
-            label = "saddle"
-        else:
-            label = "degenerate"
-        points.append(CriticalPoint(q, float(mean_curvature(domain, q[None])[0]), label))
+    q = np.array(zeros).reshape(-1, 3)
+    hess = _tangent_jacobian(domain, grad_fn, q, tangent_basis(boundary_normal(domain, q)),
+                             domain.fd_step())
+    eigs = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))  # ascending
+    floor = 1e-6 * np.maximum(1.0, np.abs(eigs).max(axis=-1, keepdims=True))
+    signs = np.sign(eigs) * (np.abs(eigs) > floor)
+    labels = {(1, 1): "min", (-1, -1): "max", (-1, 1): "saddle"}
+    points = [CriticalPoint(point, float(h_value), labels.get(tuple(sign), "degenerate"))
+              for point, h_value, sign in zip(zeros, mean_curvature(domain, q), signs)]
     points.sort(key=lambda cp: tuple(np.round(cp.point, 9)))
     return CriticalPointSearch(points=points, h_constant=False)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cmclab import balance as bal
 from cmclab import implicit_domains as dom
-from cmclab.errors import DegenerateGradient
+from cmclab.errors import DegenerateGradient, NonConvergence
 
 from conftest import fitted_slope
 
@@ -41,6 +44,75 @@ def test_projection_postconditions(ellipsoid_211):
     sin_angle = np.linalg.norm(np.cross(d[keep], g[keep]), axis=-1) / (
         np.linalg.norm(d[keep], axis=-1) * np.linalg.norm(g[keep], axis=-1))
     assert sin_angle.max() < 1e-8
+
+
+def test_projection_nonconvergence_carries_solver_state(ellipsoid_211):
+    # the first row is on the boundary and passes at once; the others need
+    # more than one Newton step
+    p = np.array([[2.0, 0.0, 0.0], [3.0, 1.0, 1.0], [0.5, 2.0, 2.0]])
+    with pytest.raises(NonConvergence) as info:
+        dom.project_to_boundary(ellipsoid_211, p, max_iter=1)
+    err = info.value
+    assert err.iterations == 1
+    assert err.unconverged == 2
+    assert 0 < err.distance < np.inf and 0 < err.line_residual < np.inf
+    msg = str(err)
+    assert "after 1 Newton steps" in msg and "2 of 3 rows unconverged" in msg
+    assert f"{err.distance:.3g}" in msg and f"{err.line_residual:.3g}" in msg
+
+
+# points outside the surface, from closed-form surface points scaled out
+
+_SURFACES = {
+    "ellipsoid": (dom.ellipsoid(2.0, 1.5, 1.0), lambda u: u * np.array([2.0, 1.5, 1.0])),
+    "bumpy": (dom.bumpy_ball(1.0, 0.05),
+              lambda u: u * (1.0 + 0.05 * np.prod(u, axis=-1, keepdims=True))),
+}
+
+_directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+_outside = st.lists(st.tuples(_directions, st.floats(0.01, 0.5)), min_size=1, max_size=12)
+
+
+def _outside_points(kind, draws):
+    norms = np.array([np.linalg.norm(u) for u, _ in draws])
+    assume(norms.min() > 1e-3)
+    u = np.array([u for u, _ in draws]) / norms[:, None]
+    out = 1.0 + np.array([delta for _, delta in draws])[:, None]
+    return _SURFACES[kind][1](u) * out
+
+
+@pytest.mark.parametrize("kind", sorted(_SURFACES))
+@settings(max_examples=40, deadline=None)
+@given(draws=_outside)
+def test_projection_batch_rows_match_single(kind, draws):
+    domain = _SURFACES[kind][0]
+    p = _outside_points(kind, draws)
+    q = dom.project_to_boundary(domain, p)
+    for i in range(len(p)):
+        assert np.array_equal(q[i], dom.project_to_boundary(domain, p[i]))
+
+
+@pytest.mark.parametrize("kind", sorted(_SURFACES))
+@settings(max_examples=40, deadline=None)
+@given(draws=_outside)
+def test_projection_idempotent(kind, draws):
+    domain = _SURFACES[kind][0]
+    q = dom.project_to_boundary(domain, _outside_points(kind, draws))
+    again = dom.project_to_boundary(domain, q)
+    assert np.abs(again - q).max() <= 1e-13 * domain.diagonal
+
+
+@settings(max_examples=100, deadline=None)
+@given(normals=st.lists(_directions, min_size=1, max_size=8))
+def test_tangent_basis_orthonormal(normals):
+    n = np.array(normals)
+    norms = np.linalg.norm(n, axis=-1, keepdims=True)
+    assume(norms.min() > 1e-3)
+    n = n / norms
+    basis = dom.tangent_basis(n)
+    gram = np.einsum("pai,pbi->pab", basis, basis)
+    assert np.abs(gram - np.eye(2)).max() <= 1e-14
+    assert np.abs(np.einsum("pai,pi->pa", basis, n)).max() <= 1e-14
 
 
 # -- normals and curvature ----------------------------------------------------
@@ -235,6 +307,84 @@ def test_critical_points_ellipsoid(ellipsoid_211):
     assert abs(by_h[-1].point[0]) == pytest.approx(2.0, abs=1e-6)
     labels = sorted(cp.label for cp in res.points)
     assert labels == ["max", "max", "min", "min", "saddle", "saddle"]
+
+
+def _serial_tangent_field_zeros(domain, field_fn, seeds, tol, step=None, max_iter=60):
+    """Reference: the one-seed-at-a-time Newton loop the batched search replaced."""
+    h = domain.fd_step() if step is None else float(step)
+    dedup = 1e-3 * domain.diagonal
+    found = []
+    for seed in np.atleast_2d(seeds):
+        q = dom.project_to_boundary(domain, seed)
+        for _ in range(max_iter):
+            n = dom.boundary_normal(domain, q)
+            basis = dom.tangent_basis(n)
+            f0 = field_fn(q[None])[0]
+            g0 = basis @ f0
+            if np.linalg.norm(f0) < tol:
+                break
+            J = np.zeros((2, 2))
+            for j in range(2):
+                fp = field_fn(dom.project_to_boundary(domain, q + h * basis[j])[None])[0]
+                fm = field_fn(dom.project_to_boundary(domain, q - h * basis[j])[None])[0]
+                J[:, j] = basis @ (fp - fm) / (2 * h)
+            try:
+                dv = np.linalg.solve(J, -g0)
+            except np.linalg.LinAlgError:
+                break
+            norm_dv = np.linalg.norm(dv)
+            cap = 0.05 * domain.diagonal
+            if norm_dv > cap:
+                dv *= cap / norm_dv
+            q = dom.project_to_boundary(domain, q + dv[0] * basis[0] + dv[1] * basis[1])
+        else:
+            continue
+        if np.linalg.norm(field_fn(q[None])[0]) >= tol:
+            continue
+        if not any(np.linalg.norm(q - prev) < dedup for prev in found):
+            found.append(q)
+    return found
+
+
+_FIELDS = {
+    "grad_H": lambda domain: (lambda pts: dom.surface_grad_H(domain, pts)),
+    "reduced_force": lambda domain: (lambda pts: bal.reduced_force(domain, pts)),
+}
+
+
+def _assert_same_zeros(got, want, domain):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.linalg.norm(a - b) <= 1e-9 * domain.diagonal
+
+
+@pytest.mark.parametrize("kind", sorted(_SURFACES))
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+def test_tangent_field_zeros_matches_serial_reference(kind, field):
+    domain = _SURFACES[kind][0]
+    field_fn = _FIELDS[field](domain)
+    seeds = dom.boundary_seeds(domain, 24)
+    got = dom.tangent_field_zeros(domain, field_fn, seeds, 1e-6)
+    assert len(got) >= 5
+    _assert_same_zeros(got, _serial_tangent_field_zeros(domain, field_fn, seeds, 1e-6), domain)
+
+
+def test_tangent_field_zeros_singular_seed(ellipsoid_211):
+    # the field is constant near seed 0, so its difference Jacobian there is
+    # exactly zero: that seed leaves, and the other seeds run as without it
+    seeds = dom.boundary_seeds(ellipsoid_211, 16)
+    grad_fn = _FIELDS["grad_H"](ellipsoid_211)
+
+    def field_fn(pts):
+        f = grad_fn(pts)
+        f[np.linalg.norm(pts - seeds[0], axis=-1) < 0.01] = [0.0, 0.0, 1.0]
+        return f
+
+    got = dom.tangent_field_zeros(ellipsoid_211, field_fn, seeds, 1e-6)
+    _assert_same_zeros(got, dom.tangent_field_zeros(ellipsoid_211, grad_fn, seeds[1:], 1e-6),
+                       ellipsoid_211)
+    _assert_same_zeros(got, _serial_tangent_field_zeros(ellipsoid_211, field_fn, seeds, 1e-6),
+                       ellipsoid_211)
 
 
 def test_domain_from_config():
